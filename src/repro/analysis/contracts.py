@@ -20,13 +20,18 @@ Three checks, hybrid static + dynamic:
 * **UDF002** (dynamic) — property checks on *real* payloads: the app's
   own ``transfer``/``map`` runs on a tiny partitioned graph and the
   harvested bags feed associativity / commutativity / partial-fold /
-  ufunc-parity checks of ``combine`` and ``merge``.  Virtual-vertex
+  ufunc-parity checks of ``combine`` and ``merge``, and apps with
+  ``combine_array`` must reproduce ``combine`` bit for bit on the
+  ``merge_ufunc``-folded bags (and on the empty bag, for
+  ``combine_all_vertices`` apps).  Virtual-vertex
   apps (VDD) are harvested through ``virtual_transfer`` /
   ``virtual_combine`` so the Section 3.3 path is exercised explicitly.
 * **PAR001** (static) — any app overriding an array fast-path hook
   (``transfer_array``, ``map_array``, ``reduce_array``,
-  ``select_array``, ``combine_ufunc``, ``merge_ufunc``) must override
-  the scalar counterpart it claims to mirror *and* appear in a
+  ``select_array``, ``combine_array``, ``combine_ufunc``,
+  ``merge_ufunc``) must override the scalar counterpart it claims to
+  mirror (``combine_array`` also needs the ``merge_ufunc`` it
+  consumes) *and* appear in a
   registered parity test (the fast-path suites), otherwise the
   bit-identical guarantee is unenforced.
 
@@ -193,7 +198,8 @@ def check_array_parity(classes: list[type],
         if issubclass(cls, PropagationApp):
             base: type = PropagationApp
             hook_pairs = [("transfer_array", "transfer"),
-                          ("select_array", "select")]
+                          ("select_array", "select"),
+                          ("combine_array", "combine")]
             ufunc_pairs = [("merge_ufunc", "merge")]
         elif issubclass(cls, MapReduceApp):
             base = MapReduceApp
@@ -211,6 +217,14 @@ def check_array_parity(classes: list[type],
                 overridden.append((attr, scalar))
         if not overridden:
             continue
+        if (_overrides(cls, base, "combine_array")
+                and getattr(cls, "merge_ufunc", None) is None):
+            findings.append(Finding(
+                "PAR001", path, line,
+                f"{cls.__name__} defines combine_array without "
+                "merge_ufunc; the engine has no fold to feed it and "
+                "keeps the scalar combine",
+            ))
         for hook, scalar in overridden:
             if not _overrides(cls, base, scalar):
                 findings.append(Finding(
@@ -460,6 +474,66 @@ def verify_propagation_app(cls: type, pgraph: Any = None) -> list[Finding]:
                          f"{key!r}: {want!r} vs {got!r}")
         except Exception as exc:  # noqa: BLE001
             fail(f"contract check raised at key {key!r} ({exc!r})")
+    if (cls.combine_array is not PropagationApp.combine_array
+            and merge_ufunc is not None):
+        findings.extend(_check_combine_array(cls, app, state, groups,
+                                             path, line))
+    return findings
+
+
+def _bit_equal(got: Any, want: Any) -> bool:
+    """``got`` and ``want`` hold the same value with the same bits."""
+    if want is None:
+        return False
+    g = np.asarray(got)
+    return g.tobytes() == np.asarray(want).astype(g.dtype).tobytes()
+
+
+def _check_combine_array(cls: type, app: Any, state: Any,
+                         groups: dict[Any, list[Any]], path: str,
+                         line: int) -> list[Finding]:
+    """``combine_array`` on the ``merge_ufunc``-folded bags must equal
+    ``combine`` on the bags bit for bit — the engine's fast-path Combine
+    feeds it exactly these folds (arrival-order ``fold_groups`` over
+    :func:`group_by_key`).  ``combine_all_vertices`` apps are also
+    checked on the empty bag, which reaches ``combine_array`` as the
+    fold's identity."""
+    from repro.propagation.api import fold_groups, fold_identity, group_by_key
+
+    findings: list[Finding] = []
+
+    def fail(what: str) -> None:
+        findings.append(Finding(
+            "UDF002", path, line, f"{cls.__name__}: {what}"))
+
+    try:
+        keys = sorted(groups)
+        dests = np.asarray(keys, dtype=np.int64)
+        uniq, bounds, grouped = group_by_key(
+            [np.repeat(dests, [len(groups[k]) for k in keys])],
+            [np.asarray([v for k in keys for v in groups[k]])])
+        merged = fold_groups(bounds, grouped, cls.merge_ufunc)
+        outs = np.asarray(app.combine_array(uniq, merged, state))
+        for i, key in enumerate(keys):
+            want = app.combine(key, list(groups[key]), state)
+            if not _bit_equal(outs[i], want):
+                fail(f"combine_array disagrees with combine at key "
+                     f"{key!r}: {outs[i]!r} vs {want!r} (must be bit-"
+                     "identical on the merge_ufunc fold)")
+                break
+        if getattr(cls, "combine_all_vertices", False) and keys:
+            v = np.asarray(keys[:1], dtype=np.int64)
+            empty = np.full(1, fold_identity(cls.merge_ufunc,
+                                             grouped.dtype),
+                            dtype=grouped.dtype)
+            got = np.asarray(app.combine_array(v, empty, state))[0]
+            want = app.combine(keys[0], [], state)
+            if not _bit_equal(got, want):
+                fail(f"combine_array on the fold identity disagrees with "
+                     f"combine on an empty bag at key {keys[0]!r}: "
+                     f"{got!r} vs {want!r}")
+    except Exception as exc:  # noqa: BLE001 - report, don't crash the gate
+        fail(f"combine_array contract check raised ({exc!r})")
     return findings
 
 

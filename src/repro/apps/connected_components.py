@@ -69,6 +69,9 @@ class ConnectedComponentsPropagation(PropagationApp):
     def combine(self, v, values, state):
         return int(min([state.values[v], *values]))
 
+    def combine_array(self, dests, merged, state):
+        return np.minimum(state.values[dests], merged)
+
     def merge(self, a, b):
         return a if a < b else b
 

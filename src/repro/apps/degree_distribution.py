@@ -82,7 +82,8 @@ class DegreeDistributionMapReduce(MapReduceApp):
     def reduce_array(self, keys, bounds, values, state):
         if keys.size == 0:
             return []
-        # reduceat folds each segment sequentially; counts are exact ints
+        # reduceat sums float segments pairwise, not as the scalar left
+        # fold; it is exact here only because the counts are integers
         totals = np.add.reduceat(values, bounds[:-1])
         return list(zip(keys.tolist(), totals.tolist()))
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.apps.base import VertexState
 from repro.mapreduce.api import MapReduceApp
-from repro.propagation.api import PropagationApp, fold_by_dest
+from repro.propagation.api import PropagationApp, fold_by_dest, fold_groups
 
 __all__ = ["NetworkRankingPropagation", "NetworkRankingMapReduce"]
 
@@ -60,6 +60,11 @@ class NetworkRankingPropagation(PropagationApp):
 
     def combine(self, v, values, state):
         return state.extra["teleport"] + sum(values)
+
+    def combine_array(self, dests, merged, state):
+        # merged is the bincount fold 0.0 + v1 + v2 + ..., the same
+        # chain as sum(values)
+        return state.extra["teleport"] + merged
 
     def merge(self, a, b):
         return a + b
@@ -150,10 +155,9 @@ class NetworkRankingMapReduce(MapReduceApp):
     def reduce_array(self, keys, bounds, values, state):
         if keys.size == 0:
             return []
-        gids = np.repeat(np.arange(keys.size), np.diff(bounds))
-        # bincount accumulates in input order: 0.0 + v1 + v2 + ...,
-        # matching the scalar sum() fold bit for bit
-        totals = np.bincount(gids, weights=values, minlength=keys.size)
+        # the bincount fold accumulates in input order: 0.0 + v1 + v2
+        # + ..., matching the scalar sum() fold bit for bit
+        totals = fold_groups(bounds, values, np.add)
         ranks = (1.0 - self.damping) / state.num_vertices + totals
         return list(zip(keys.tolist(), ranks.tolist()))
 

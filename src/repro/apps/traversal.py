@@ -137,6 +137,10 @@ class BreadthFirstSearchPropagation(PropagationApp):
     def combine(self, v: int, values: list, state: Any) -> int:
         return min(values)
 
+    def combine_array(self, dests: np.ndarray, merged: np.ndarray,
+                      state: Any) -> np.ndarray:
+        return merged
+
     def merge(self, a: int, b: int) -> int:
         return a if a <= b else b
 
@@ -306,6 +310,11 @@ class DeltaPageRankPropagation(PropagationApp):
         for value in values:
             acc = acc + value
         return acc
+
+    def combine_array(self, dests: np.ndarray, merged: np.ndarray,
+                      state: Any) -> np.ndarray:
+        # the bincount fold starts at 0.0 too: the same addition chain
+        return merged
 
     def merge(self, a: float, b: float) -> float:
         return a + b

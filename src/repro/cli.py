@@ -406,6 +406,13 @@ def _cmd_profile(args) -> int:
         print(f"job FAILED: {job.error}", file=sys.stderr)
     _print_metrics(job)
     print(f"wall clock    : {wall:12,.3f}s real")
+    if args.engine == "propagation":
+        m = job.events.metrics
+        for phase, seconds in (
+                ("transfer", m.get("wall.transfer_seconds")),
+                ("route", m.get("wall.route_seconds")),
+                ("combine", m.get("wall.combine_seconds"))):
+            print(f"  {phase:<12}: {seconds:12,.3f}s real")
     print()
     print(JobMonitor(job.executions, job.recovery_events,
                      events=job.events).report())

@@ -42,7 +42,7 @@ from repro.cluster.storage import PartitionStore
 from repro.errors import JobError
 from repro.hashing import stable_hash, stable_hash_array
 from repro.mapreduce.api import MapReduceApp, kv_nbytes
-from repro.propagation.api import fold_by_dest
+from repro.propagation.api import fold_by_dest, group_by_key
 from repro.runtime.events import wall_timer
 from repro.runtime.scheduler import StageScheduler
 from repro.runtime.tasks import StageResult, Task
@@ -378,17 +378,15 @@ class MapReduceEngine:
             if not self.combiner:
                 mo.spill_precombine = mo.spill
             if keys.size:
-                rids = stable_hash_array(keys) % num_reducers
-                counts = np.bincount(rids, minlength=num_reducers)
-                order = np.argsort(rids, kind="stable")
+                rids, bounds, order = group_by_key(
+                    [stable_hash_array(keys) % num_reducers],
+                    [np.arange(keys.size)])
                 sk = keys[order]
                 sv = values[order]
-                bounds = np.concatenate(
-                    ([0], np.cumsum(counts))).tolist()
-                for r in np.flatnonzero(counts).tolist():
-                    mo.chunks[r] = (sk[bounds[r]:bounds[r + 1]],
-                                    sv[bounds[r]:bounds[r + 1]])
-                    mo.sends[r] = float(counts[r]) * rec_bytes
+                b = bounds.tolist()
+                for i, r in enumerate(rids.tolist()):
+                    mo.chunks[r] = (sk[b[i]:b[i + 1]], sv[b[i]:b[i + 1]])
+                    mo.sends[r] = float(b[i + 1] - b[i]) * rec_bytes
             per_part.append(mo)
         return per_part
 
@@ -420,19 +418,9 @@ class MapReduceEngine:
         shuffle arrival order, matching the scalar dict-insert oracle."""
         if not chunk_list:
             return [], 0.0
-        keys = np.concatenate([c[0] for c in chunk_list])
-        values = np.concatenate([c[1] for c in chunk_list])
-        order = np.argsort(keys, kind="stable")
-        k = keys[order]
-        v = values[order]
-        n = int(k.size)
-        new_group = np.empty(n, dtype=bool)
-        new_group[0] = True
-        np.not_equal(k[1:], k[:-1], out=new_group[1:])
-        starts = np.flatnonzero(new_group)
-        uniq = k[starts]
-        bounds = np.concatenate((starts, [n]))
-        cpu = float(n + uniq.size)
+        uniq, bounds, v = group_by_key([c[0] for c in chunk_list],
+                                       [c[1] for c in chunk_list])
+        cpu = float(v.size + uniq.size)
         if type(app).reduce_array is not MapReduceApp.reduce_array:
             pairs = app.reduce_array(uniq, bounds, v, state)
             if pairs is not None:

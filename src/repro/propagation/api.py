@@ -32,8 +32,8 @@ import numpy as np
 from repro.errors import JobError
 from repro.graph.io import VALUE_BYTES, VERTEX_ID_BYTES
 
-__all__ = ["PropagationApp", "MessageBox", "fold_by_dest",
-           "message_nbytes"]
+__all__ = ["PropagationApp", "MessageBox", "fold_by_dest", "fold_groups",
+           "fold_identity", "group_by_key", "message_nbytes"]
 
 
 class PropagationApp:
@@ -56,7 +56,8 @@ class PropagationApp:
     #: bottom-up direction switching, per-partition frontier exchange.
     uses_frontier = False
     #: NumPy ufunc equivalent of ``merge`` (e.g. ``np.add``) — required
-    #: for the vectorized Transfer fast path of associative apps.
+    #: for the vectorized Transfer fast path of associative apps, and
+    #: the fold ``combine_array`` consumes.
     merge_ufunc = None
 
     # ------------------------------------------------------------------
@@ -146,6 +147,24 @@ class PropagationApp:
         """
         return None
 
+    def combine_array(self, dests: np.ndarray, merged: np.ndarray,
+                      state: Any) -> np.ndarray:
+        """Vectorized ``combine`` over pre-folded bags.
+
+        Opt-in hook of the fast path's Combine stage (and of its local
+        propagation); it needs ``merge_ufunc``.  ``merged[i]`` is the
+        ``merge_ufunc`` left fold, in arrival order, of the bag that
+        reached ``dests[i]``; for a vertex no message reached
+        (``combine_all_vertices`` apps) it is the fold's identity
+        (:func:`fold_identity`: 0 for ``np.add``, the dtype's maximum
+        for ``np.minimum``).  Must return one output per destination,
+        element ``i`` bit-identical to ``combine(dests[i], bag, state)``
+        — the UDF002 contract checks this on real bags.  Apps whose
+        ``combine`` may return ``None`` or reads more than the fold
+        (RS, KCORE) keep the scalar ``combine``.
+        """
+        raise JobError(f"{self.name}: combine_array() not implemented")
+
     # -- virtual-vertex variants ----------------------------------------
     def virtual_transfer(self, u: int, state: Any) -> Iterable[tuple]:
         """Yield ``(virtual_key, value)`` pairs from vertex ``u``."""
@@ -172,57 +191,115 @@ def message_nbytes(app: PropagationApp, value: Any) -> float:
     return VERTEX_ID_BYTES + app.value_nbytes(value)
 
 
+def group_by_key(
+    key_chunks: list[np.ndarray], value_chunks: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group aligned key/value chunks by key, keeping arrival order.
+
+    The chunks are concatenated in list order (their *arrival* order)
+    and sorted by key with one stable argsort, so each key's values stay
+    in arrival order: exactly the bag a dict-of-lists ``setdefault(key,
+    []).append(value)`` loop over the chunks would build.  Returns
+    ``(uniq, bounds, grouped)``: the distinct keys ascending, the
+    ``len(uniq) + 1`` segment boundaries, and the regrouped values —
+    key ``uniq[i]``'s bag is ``grouped[bounds[i]:bounds[i + 1]]``.
+    Both engines group through this kernel: the propagation Combine
+    stage over routed messages, the MapReduce reducers over shuffle
+    chunks.  At least one chunk must be given.
+    """
+    if len(key_chunks) == 1:
+        keys, values = key_chunks[0], value_chunks[0]
+    else:
+        keys = np.concatenate(key_chunks)
+        values = np.concatenate(value_chunks)
+    n = int(keys.size)
+    if n == 0:
+        return keys, np.zeros(1, dtype=np.int64), values
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    new_group = np.empty(n, dtype=bool)
+    new_group[0] = True
+    np.not_equal(k[1:], k[:-1], out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    return k[starts], np.append(starts, n), values[order]
+
+
+def fold_groups(bounds: np.ndarray, grouped: np.ndarray,
+                ufunc: Any) -> np.ndarray:
+    """Left-fold every segment of :func:`group_by_key` output in order.
+
+    Segment ``i`` folds ``grouped[bounds[i]:bounds[i + 1]]`` front to
+    back.  ``np.bincount`` (float ``np.add``) and ``ufunc.at`` (every
+    other merge) both accumulate sequentially in input order, so even a
+    non-exact merge such as float addition reproduces the scalar
+    ``merge(merge(v1, v2), v3)`` chain bit for bit.  ``np.add.reduceat``
+    is deliberately not used: its float64 summation is pairwise, not
+    sequential, and differs from the left fold in the last bits.
+    """
+    k = int(bounds.size) - 1
+    gid = np.repeat(np.arange(k), np.diff(bounds))
+    if ufunc is np.add and grouped.dtype == np.float64:
+        return np.bincount(gid, weights=grouped, minlength=k)
+    heads = bounds[:-1]
+    merged = grouped[heads].copy()
+    rest = np.ones(grouped.size, dtype=bool)
+    rest[heads] = False
+    if rest.any():
+        ufunc.at(merged, gid[rest], grouped[rest])
+    return merged
+
+
 def fold_by_dest(
     dests: np.ndarray, values: np.ndarray, ufunc: Any
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Left-fold ``values`` per destination, in input (emission) order.
 
     Returns ``(uniq_dests, merged, counts)`` with ``uniq_dests`` sorted
-    ascending.  The fold visits each destination's values in their input
-    order — ``np.bincount`` and ``ufunc.at`` both accumulate
-    sequentially — so even a non-exact merge such as float addition
-    reproduces the scalar ``merge(merge(v1, v2), v3)`` chain bit for bit.
-    ``dests`` must be non-empty.
+    ascending; the fold is :func:`fold_groups` over
+    :func:`group_by_key`, so it is bit-identical to the scalar
+    ``merge`` chain.  ``dests`` must be non-empty.
     """
-    m = int(dests.size)
-    order = np.argsort(dests, kind="stable")
-    d = dests[order]
-    new_group = np.empty(m, dtype=bool)
-    new_group[0] = True
-    np.not_equal(d[1:], d[:-1], out=new_group[1:])
-    uniq = d[new_group]
-    gid = np.cumsum(new_group) - 1
-    inv = np.empty(m, dtype=np.int64)
-    inv[order] = gid
-    counts = np.bincount(inv, minlength=uniq.size)
-    if ufunc is np.add and values.dtype == np.float64:
-        merged = np.bincount(inv, weights=values, minlength=uniq.size)
+    uniq, bounds, grouped = group_by_key([dests], [values])
+    return uniq, fold_groups(bounds, grouped, ufunc), np.diff(bounds)
+
+
+def fold_identity(ufunc: Any, dtype: np.dtype) -> Any:
+    """The fold of an empty bag: ``ufunc``'s identity as a ``dtype`` value.
+
+    ``np.add`` gives 0, ``np.logical_or`` False and ``np.minimum`` the
+    dtype's largest value (``inf`` for floats) — the value
+    ``combine_array`` receives for a vertex that no message reached
+    (``combine_all_vertices`` apps).
+    """
+    dtype = np.dtype(dtype)
+    if ufunc.identity is not None:
+        top = ufunc.identity
+    elif ufunc is np.minimum:
+        if dtype == np.bool_:
+            top = True
+        elif dtype.kind == "f":
+            top = np.inf
+        else:
+            top = np.iinfo(dtype).max
     else:
-        # stable sort: the group head is the earliest original index
-        first_idx = order[np.flatnonzero(new_group)]
-        merged = values[first_idx].copy()
-        rest = np.ones(m, dtype=bool)
-        rest[first_idx] = False
-        if rest.any():
-            ufunc.at(merged, inv[rest], values[rest])
-    return uniq, merged, counts
+        raise JobError(f"fold_identity: {ufunc!r} has no identity element")
+    return np.asarray(top).astype(dtype)[()]
 
 
 @dataclass
 class MessageBox:
     """Accumulates messages per destination, merging when allowed.
 
-    With a ``merge`` function each destination holds one merged value
-    (``counts`` remembers how many raw messages it stands for); without,
-    destinations hold bags (lists) of values.
+    The scalar Transfer path's message container (the fast path keeps
+    messages as columns instead).  With a ``merge`` function each
+    destination holds one merged value (``counts`` remembers how many
+    raw messages it stands for); without, destinations hold bags
+    (lists) of values.
     """
 
     merge: Any = None
     data: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
-    #: cached ``payload_bytes`` result; boxes live within one iteration
-    #: and are always sized against that iteration's single app.
-    _payload: float | None = field(default=None, repr=False, compare=False)
 
     def add(self, dest: Any, value: Any) -> None:
         if self.merge is None:
@@ -232,52 +309,6 @@ class MessageBox:
         else:
             self.data[dest] = value
         self.counts[dest] = self.counts.get(dest, 0) + 1
-        self._payload = None
-
-    @classmethod
-    def from_arrays(cls, dests: np.ndarray, values: np.ndarray,
-                    merge: Any = None,
-                    ufunc: Any = None) -> "MessageBox":
-        """Build a box from aligned destination/value arrays.
-
-        The arrays are taken in *emission order* (the order the scalar
-        path would have called :meth:`add`), and the result is
-        bit-identical to that sequence of ``add`` calls:
-
-        * without ``merge``, bags keep emission order per destination
-          (stable sort by destination);
-        * with ``merge``, each destination's values are left-folded in
-          emission order via ``ufunc`` — ``np.bincount`` for float
-          ``np.add`` and ``ufunc.at`` otherwise both accumulate
-          sequentially in input order, so even non-exact merges such as
-          float addition reproduce the scalar fold bit for bit.
-        """
-        box = cls(merge=merge)
-        dests = np.asarray(dests)
-        values = np.asarray(values)
-        m = int(dests.size)
-        if m == 0:
-            return box
-        if merge is None:
-            order = np.argsort(dests, kind="stable")
-            d = dests[order]
-            v = values[order]
-            cuts = np.flatnonzero(d[1:] != d[:-1]) + 1
-            starts = np.concatenate(([0], cuts)).tolist()
-            ends = np.concatenate((cuts, [m])).tolist()
-            dlist = d.tolist()
-            vlist = v.tolist()
-            for s, e in zip(starts, ends):
-                box.data[dlist[s]] = vlist[s:e]
-                box.counts[dlist[s]] = e - s
-            return box
-        if ufunc is None:
-            raise JobError("MessageBox.from_arrays: merging needs a ufunc")
-        uniq, merged, counts = fold_by_dest(dests, values, ufunc)
-        keys = uniq.tolist()
-        box.data = dict(zip(keys, merged.tolist()))
-        box.counts = dict(zip(keys, counts.tolist()))
-        return box
 
     def values_of(self, dest: Any) -> list:
         """The bag of values for ``dest`` (singleton when merged)."""
@@ -287,30 +318,27 @@ class MessageBox:
             return self.data[dest]
         return [self.data[dest]]
 
+    def wire_messages(self) -> int:
+        """Messages the box ships: one per destination when merged."""
+        if self.merge is not None:
+            return len(self.data)
+        return sum(len(bag) for bag in self.data.values())
+
     def payload_bytes(self, app: PropagationApp) -> float:
-        """Total wire bytes of the box's current contents (cached).
+        """Total wire bytes of the box's current contents.
 
         Apps that keep the default (constant) ``value_nbytes`` take a
         closed-form count; byte sizes are integer-valued floats, so the
         product equals the per-message summation bit for bit.
         """
-        if self._payload is None:
-            if type(app).value_nbytes is PropagationApp.value_nbytes:
-                wire_messages = (len(self.data) if self.merge is not None
-                                 else sum(len(bag)
-                                          for bag in self.data.values()))
-                self._payload = float(
-                    wire_messages * (VERTEX_ID_BYTES + VALUE_BYTES)
-                )
-            else:
-                total = 0.0
-                for dest, stored in self.data.items():
-                    if self.merge is None:
-                        total += sum(message_nbytes(app, v) for v in stored)
-                    else:
-                        total += message_nbytes(app, stored)
-                self._payload = total
-        return self._payload
+        if type(app).value_nbytes is PropagationApp.value_nbytes:
+            return float(self.wire_messages()
+                         * (VERTEX_ID_BYTES + VALUE_BYTES))
+        total = 0.0
+        for dest in self.data:
+            total += sum(message_nbytes(app, v)
+                         for v in self.values_of(dest))
+        return total
 
     def message_count(self) -> int:
         return sum(self.counts.values())

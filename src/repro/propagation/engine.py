@@ -22,6 +22,14 @@ Without local optimizations (levels O1/O2) every message is materialized
 to disk and every cross-partition message crosses the network unmerged —
 which is exactly the traffic gap Tables 2 and 3 measure.
 
+**Fast path** (apps with ``transfer_array``): messages stay columnar from
+Transfer through route and Combine — per-destination-partition
+``(dests, values)`` outboxes, one stable group-by per inbox
+(:func:`~repro.propagation.api.group_by_key`), arrival-order folds fed
+to the app's ``combine_array`` — with every product bit-identical to
+the scalar :class:`~repro.propagation.api.MessageBox` path, which
+remains the oracle.
+
 **Frontier mode** (``frontier=True``, for apps with ``uses_frontier``)
 scans only each partition's active vertices per iteration: the Transfer
 read is priced by a top-down/bottom-up direction switch keyed on
@@ -35,10 +43,8 @@ dense path — only the transfer-task disk reads shrink and the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
@@ -47,7 +53,15 @@ from repro.cluster.storage import PartitionStore
 from repro.errors import JobError
 from repro.graph.io import DEGREE_BYTES, VALUE_BYTES, VERTEX_ID_BYTES
 from repro.hashing import stable_hash
-from repro.propagation.api import MessageBox, PropagationApp, fold_by_dest
+from repro.propagation.api import (
+    MessageBox,
+    PropagationApp,
+    fold_by_dest,
+    fold_groups,
+    fold_identity,
+    group_by_key,
+    message_nbytes,
+)
 from repro.runtime.events import wall_timer
 from repro.runtime.scheduler import StageScheduler
 from repro.runtime.tasks import StageResult, Task
@@ -122,16 +136,53 @@ class _FrontierInfo:
 
 @dataclass
 class _PartitionTransfer:
-    """Intermediate products of one partition's Transfer stage."""
+    """Intermediate products of one partition's Transfer stage.
+
+    ``outbox[q]`` holds the messages bound for partition ``q``; the
+    entry at the partition's own id is its boundary spill.  The scalar
+    path fills it with :class:`MessageBox` es.  The fast path fills it
+    with ``(dests, values)`` column pairs — merged: one folded value per
+    destination, ascending; unmerged: one row per message, in emission
+    order — and records the message dtype in ``dtype``.
+    ``outbox_bytes[q]`` is the entry's wire size (the spill size for the
+    own entry); ``shipped`` counts the rows of the cross entries.
+    """
 
     inner_combined: dict = field(default_factory=dict)
-    boundary_box: MessageBox | None = None
-    cross_boxes: dict[int, MessageBox] = field(default_factory=dict)
+    outbox: dict[int, Any] = field(default_factory=dict)
+    outbox_bytes: dict[int, float] = field(default_factory=dict)
+    dtype: np.dtype | None = None
+    shipped: int = 0
     spill_bytes: float = 0.0
     cpu_ops: float = 0.0
     output_bytes: float = 0.0
     messages: int = 0
     locally_propagated: int = 0
+
+
+Columns = tuple[np.ndarray, np.ndarray]
+#: one partition's routed messages: ``(uniq, bounds, grouped)`` from
+#: :func:`group_by_key`, or None when nothing arrived
+Inbox = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _array_combine_ufunc(app: PropagationApp) -> Any:
+    """The fold ``combine_array`` consumes, or None without the hook."""
+    if type(app).combine_array is PropagationApp.combine_array:
+        return None
+    return app.merge_ufunc
+
+
+def _box_columns(box: MessageBox, dtype: np.dtype) -> Columns:
+    """A scalar-path box as columns, rows in the box's delivery order."""
+    dests: list[Any] = []
+    values: list[Any] = []
+    for dest in box.data:
+        bag = box.values_of(dest)
+        dests.extend([dest] * len(bag))
+        values.extend(bag)
+    return (np.asarray(dests, dtype=np.int64),
+            np.asarray(values, dtype=dtype))
 
 
 class PropagationEngine:
@@ -219,19 +270,29 @@ class PropagationEngine:
             for p in range(num_parts)
         ]
         transfer_tasks = [
-            self._transfer_task(app, p, transfers[p], finfo(p))
+            self._transfer_task(p, transfers[p], finfo(p))
             for p in range(num_parts)
         ]
         transfer_wall = timer.elapsed()
         transfer_result = scheduler.run_stage(transfer_tasks)
 
         timer = wall_timer()
-        inboxes, inbox_sources = self._route(app, transfers)
+        dtypes = [t.dtype for t in transfers if t.dtype is not None]
+        dtype = np.result_type(*dtypes) if dtypes else None
+        inboxes: list[Any]
+        if dtype is not None:
+            inboxes = self._route(transfers, dtype)
+        else:
+            inboxes = self._route_boxes(transfers)
+        sources = self._sources(transfers)
+        route_wall = timer.elapsed()
+
+        timer = wall_timer()
         combined: dict = {}
         combine_tasks: list[Task] = []
         for p in range(num_parts):
             task, part_combined = self._run_combine(
-                app, state, p, inboxes[p], inbox_sources[p], transfers[p]
+                app, state, p, inboxes[p], sources[p], transfers[p], dtype
             )
             combine_tasks.append(task)
             combined.update(part_combined)
@@ -242,26 +303,17 @@ class PropagationEngine:
             for t in transfers:
                 combined.update(t.inner_combined)
 
-        network_bytes = sum(
-            box.payload_bytes(app)
-            for t in transfers
-            for q, box in t.cross_boxes.items()
-        )
-        # Cross boxes are merged only when local optimizations are on
-        # (mirrors the MessageBox merge condition above): at O1/O2 an
-        # associative app still ships every raw message.
-        total_shipped = sum(
-            len(box) if app.is_associative and self.local_opts
-            else box.message_count()
-            for t in transfers
-            for box in t.cross_boxes.values()
-        )
         report = IterationReport(
             transfer_stage=transfer_result,
             combine_stage=combine_result,
             messages_emitted=sum(t.messages for t in transfers),
-            messages_shipped=total_shipped,
-            network_bytes=network_bytes,
+            messages_shipped=sum(t.shipped for t in transfers),
+            network_bytes=sum(
+                nbytes
+                for p, t in enumerate(transfers)
+                for q, nbytes in t.outbox_bytes.items()
+                if q != p
+            ),
             spill_bytes=sum(t.spill_bytes for t in transfers),
             locally_propagated=sum(t.locally_propagated for t in transfers),
         )
@@ -275,19 +327,22 @@ class PropagationEngine:
             report.frontier_bottom_up_scans = sum(
                 1 for i in finfos if i.direction == "bottom-up")
         self._observe_iteration(scheduler, report,
-                                transfer_wall + combine_wall)
+                                (transfer_wall, route_wall, combine_wall))
         return combined, report
 
     def _observe_iteration(self, scheduler: StageScheduler,
                            report: IterationReport,
-                           udf_wall_seconds: float) -> None:
+                           walls: tuple[float, float, float]) -> None:
         """Record the iteration's span and metrics on the job's stream.
 
-        The UDF wall time (running transfer/combine in Python, outside
-        the simulated cost model) lands on the iteration span and the
-        ``wall.udf_seconds`` counter, keeping simulator overhead
-        separable from simulated cost.
+        ``walls`` is the real Python time of the Transfer, route and
+        Combine phases, outside the simulated cost model.  Each phase
+        has its ``wall.*_seconds`` counter; their sum lands on the
+        iteration span and ``wall.udf_seconds``, keeping simulator
+        overhead separable from simulated cost.
         """
+        transfer_wall, route_wall, combine_wall = walls
+        udf_wall_seconds = transfer_wall + route_wall + combine_wall
         stream = scheduler.events
         iteration = int(stream.metrics.get("propagation.iterations"))
         stream.emit(
@@ -312,6 +367,9 @@ class PropagationEngine:
                   report.frontier_direction_switches)
             m.add("frontier.bottom_up_scans",
                   report.frontier_bottom_up_scans)
+        m.add("wall.transfer_seconds", transfer_wall)
+        m.add("wall.route_seconds", route_wall)
+        m.add("wall.combine_seconds", combine_wall)
         m.add("wall.udf_seconds", udf_wall_seconds)
         if scheduler.sanitizer is not None:
             scheduler.sanitizer.on_superstep(stream, scheduler.cluster)
@@ -452,11 +510,12 @@ class PropagationEngine:
 
         Replays the scalar path's routing, merging and cost accounting as
         CSR-slice operations: one ``transfer_array`` call over the
-        partition's (selected) out-edges, destination-partition grouping
-        via ``parts[dst]``, inner/boundary splitting via
+        partition's (selected) out-edges, inner/boundary splitting via
         ``boundary_mask``, per-destination merging via input-order folds
-        (:meth:`MessageBox.from_arrays`).  Products — messages, byte
-        counts, cpu ops — are bit-identical to the scalar path.
+        (:func:`fold_by_dest`), destination-partition grouping via
+        ``parts[dst]``.  Messages stay columnar in the outbox; products —
+        messages, byte counts, cpu ops — are bit-identical to the scalar
+        path.
         """
         pg = self.pgraph
         verts = pg.partition_vertices[p]
@@ -476,11 +535,7 @@ class PropagationEngine:
             return None
         values = np.asarray(values)
 
-        merge = app.merge if app.is_associative else None
-        box_merge = merge if self.local_opts else None
-        ufunc = app.merge_ufunc if box_merge is not None else None
-
-        result = _PartitionTransfer()
+        result = _PartitionTransfer(dtype=values.dtype)
         m = int(src.size)
         result.messages = m
         # scalar parity: +1 per scanned edge, +1 per routed message.
@@ -493,116 +548,84 @@ class PropagationEngine:
         result.cpu_ops += 2.0 * m
 
         dest_parts = pg.parts[dst]
-        local = dest_parts == p
+        # boxes merge only for associative apps under local
+        # optimizations (the scalar MessageBox merge condition)
+        ufunc = (app.merge_ufunc
+                 if app.is_associative and self.local_opts else None)
+        if ufunc is not None:
+            cross = int(np.count_nonzero(dest_parts != p))
+            result.cpu_ops += float(cross)  # the merge work
         if self.local_opts:
-            inner = local & ~pg.boundary_mask[dst]
-            bnd = local & ~inner
+            inner = (dest_parts == p) & ~pg.boundary_mask[dst]
+            outgoing = ~inner
+            self._fill_outbox(result, dst[outgoing], values[outgoing],
+                              dest_parts[outgoing], ufunc)
+            if inner.any():
+                # Local propagation: combine inner vertices now, in memory.
+                uniq, bounds, grouped = group_by_key([dst[inner]],
+                                                     [values[inner]])
+                result.cpu_ops += float(grouped.size + uniq.size)
+                result.output_bytes += self._combine_groups(
+                    app, state, uniq, bounds, grouped,
+                    _array_combine_ufunc(app), result.inner_combined)
+                result.locally_propagated = int(uniq.size)
         else:
-            inner = np.zeros(m, dtype=bool)
-            bnd = local
-
-        result.boundary_box = MessageBox.from_arrays(
-            dst[bnd], values[bnd], merge=box_merge, ufunc=ufunc
-        )
-
-        cross_idx = np.flatnonzero(~local)
-        if cross_idx.size:
-            self._build_cross_boxes(
-                result, dst[cross_idx], values[cross_idx],
-                box_merge, ufunc,
-            )
-            if self.local_opts and merge is not None:
-                result.cpu_ops += float(cross_idx.size)  # the merge work
-
-        # Local propagation: combine inner vertices now, in memory.
-        if self.local_opts:
-            inner_idx = np.flatnonzero(inner)
-            if inner_idx.size:
-                order = np.argsort(dst[inner_idx], kind="stable")
-                ii = inner_idx[order]
-                d = dst[ii]
-                v = values[ii]
-                cuts = np.flatnonzero(d[1:] != d[:-1]) + 1
-                starts = np.concatenate(([0], cuts)).tolist()
-                ends = np.concatenate((cuts, [d.size])).tolist()
-                dlist = d.tolist()
-                vlist = v.tolist()
-                combine = app.combine
-                result_nbytes = app.result_nbytes
-                inner_combined = result.inner_combined
-                cpu_ops = 0.0
-                output_bytes = 0.0
-                for s, e in zip(starts, ends):
-                    dest = dlist[s]
-                    bag = vlist[s:e]
-                    out = combine(dest, bag, state)
-                    cpu_ops += len(bag) + 1.0
-                    if out is not None:
-                        inner_combined[dest] = out
-                        output_bytes += result_nbytes(dest, out)
-                # the increments are integer-valued floats, so summing
-                # them out of line is still exact
-                result.cpu_ops += cpu_ops
-                result.output_bytes += output_bytes
-                result.locally_propagated = len(starts)
-
-        result.spill_bytes = result.boundary_box.payload_bytes(app)
+            self._fill_outbox(result, dst, values, dest_parts, ufunc)
+        self._price_outbox(app, p, result)
         return result
 
-    def _build_cross_boxes(
-        self,
-        result: _PartitionTransfer,
-        dests: np.ndarray,
-        values: np.ndarray,
-        box_merge: Any,
-        ufunc: Any,
-    ) -> None:
-        """Group cross-partition messages into per-destination boxes.
+    def _fill_outbox(self, result: _PartitionTransfer, dests: np.ndarray,
+                     values: np.ndarray, dest_parts: np.ndarray,
+                     ufunc: Any) -> None:
+        """Split outgoing messages into per-destination-partition columns.
 
-        One pass over the whole cross set: a destination vertex
-        determines its partition, so merging by destination globally and
-        splitting the merged rows by ``parts[dest]`` afterwards yields
-        exactly the per-partition boxes the scalar path builds — without
-        one sort/unique per remote partition.
+        With a merge, one fold over the whole outgoing set: a
+        destination vertex determines its partition, so folding by
+        destination globally and splitting the folded rows by
+        ``parts[dest]`` afterwards yields exactly the per-partition
+        boxes the scalar path builds.  The stable split keeps each
+        partition's rows in fold (ascending) or emission order.
         """
-        pg = self.pgraph
-        if box_merge is not None:
-            uniq, merged, counts = fold_by_dest(dests, values, ufunc)
-            qs = pg.parts[uniq]
-            order = np.argsort(qs, kind="stable")
-            uniq, merged, counts, qs = (uniq[order], merged[order],
-                                        counts[order], qs[order])
-            cuts = np.flatnonzero(qs[1:] != qs[:-1]) + 1
-            starts = np.concatenate(([0], cuts)).tolist()
-            ends = np.concatenate((cuts, [qs.size])).tolist()
-            keys = uniq.tolist()
-            vals = merged.tolist()
-            cnts = counts.tolist()
-            qlist = qs.tolist()
-            for s, e in zip(starts, ends):
-                box = MessageBox(merge=box_merge)
-                box.data = dict(zip(keys[s:e], vals[s:e]))
-                box.counts = dict(zip(keys[s:e], cnts[s:e]))
-                result.cross_boxes[qlist[s]] = box
+        if dests.size == 0:
             return
-        order = np.argsort(dests, kind="stable")
+        if ufunc is not None:
+            dests, values, _ = fold_by_dest(dests, values, ufunc)
+            dest_parts = self.pgraph.parts[dests]
+        qs, bounds, order = group_by_key([dest_parts],
+                                         [np.arange(dests.size)])
         d = dests[order]
         v = values[order]
-        cuts = np.flatnonzero(d[1:] != d[:-1]) + 1
-        starts = np.concatenate(([0], cuts)).tolist()
-        ends = np.concatenate((cuts, [d.size])).tolist()
-        dlist = d.tolist()
-        vlist = v.tolist()
-        qlist = pg.parts[d[starts]].tolist()
-        cross_boxes = result.cross_boxes
-        for s, e, q in zip(starts, ends, qlist):
-            dest = dlist[s]
-            box = cross_boxes.get(q)
-            if box is None:
-                box = MessageBox(merge=None)
-                cross_boxes[q] = box
-            box.data[dest] = vlist[s:e]
-            box.counts[dest] = e - s
+        b = bounds.tolist()
+        for i, q in enumerate(qs.tolist()):
+            result.outbox[q] = (d[b[i]:b[i + 1]], v[b[i]:b[i + 1]])
+
+    @staticmethod
+    def _price_outbox(app: PropagationApp, p: int,
+                      result: _PartitionTransfer) -> None:
+        """Wire bytes and shipped rows of every outbox entry.
+
+        Apps with the default (constant) ``value_nbytes`` take a closed
+        form — byte sizes are integer-valued floats, so the product
+        equals the per-message sum bit for bit; apps that override it
+        are sized per value.
+        """
+        default = type(app).value_nbytes is PropagationApp.value_nbytes
+        for q, entry in result.outbox.items():
+            if isinstance(entry, MessageBox):
+                rows = entry.wire_messages()
+                nbytes = entry.payload_bytes(app)
+            else:
+                rows = int(entry[0].size)
+                if default:
+                    nbytes = float(rows * (VERTEX_ID_BYTES + VALUE_BYTES))
+                else:
+                    nbytes = 0.0
+                    for value in entry[1].tolist():
+                        nbytes += message_nbytes(app, value)
+            result.outbox_bytes[q] = nbytes
+            if q != p:
+                result.shipped += rows
+        result.spill_bytes = result.outbox_bytes.get(p, 0.0)
 
     def _run_transfer_scalar(
         self, app: PropagationApp, state: Any, p: int,
@@ -630,25 +653,24 @@ class PropagationEngine:
         boundary_box = MessageBox(
             merge=merge if self.local_opts else None
         )
-        result.boundary_box = boundary_box
+        outbox = result.outbox
+        outbox[p] = boundary_box
 
-        def route(dest_partition: int, dest, value) -> None:
+        def route(dest_partition: int, dest: Any, value: Any) -> None:
             result.messages += 1
             result.cpu_ops += 1.0
-            if dest_partition == p and not app.uses_virtual_vertices:
-                if self.local_opts and pg.is_inner(dest):
+            if dest_partition == p:
+                # virtual keys hashed to the local partition stay local too
+                if (self.local_opts and not app.uses_virtual_vertices
+                        and pg.is_inner(dest)):
                     inner_box.add(dest, value)
                 else:
                     boundary_box.add(dest, value)
                 return
-            if dest_partition == p:
-                # virtual key hashed to the local partition: still local
-                boundary_box.add(dest, value)
-                return
-            box = result.cross_boxes.get(dest_partition)
+            box = outbox.get(dest_partition)
             if box is None:
                 box = MessageBox(merge=merge if self.local_opts else None)
-                result.cross_boxes[dest_partition] = box
+                outbox[dest_partition] = box
             box.add(dest, value)
             if self.local_opts and merge is not None:
                 result.cpu_ops += 1.0  # the merge work
@@ -677,35 +699,27 @@ class PropagationEngine:
                     if value is not None:
                         route(int(parts[v]), v, value)
 
-        # Local propagation: combine inner vertices now, in memory.
-        if self.local_opts and not app.uses_virtual_vertices:
-            for v, values in inner_box.data.items():
-                out = app.combine(v, values, state)
-                result.cpu_ops += len(values) + 1.0
-                if out is not None:
-                    result.inner_combined[v] = out
-                    result.output_bytes += app.result_nbytes(v, out)
-            result.locally_propagated = len(inner_box.data)
-        elif not self.local_opts:
-            # no local propagation: inner-destination messages spill too
-            for v, values in inner_box.data.items():
-                for value in values:
-                    boundary_box.add(v, value)
-
-        result.spill_bytes = boundary_box.payload_bytes(app)
+        # Local propagation: combine inner vertices now, in memory (the
+        # box fills only under local optimizations).
+        result.cpu_ops += float(inner_box.message_count() + len(inner_box))
+        result.output_bytes += self._combine_scalar(
+            app, app.combine, state, inner_box.data.keys(),
+            inner_box.data.values(), result.inner_combined)
+        result.locally_propagated = len(inner_box)
+        self._price_outbox(app, p, result)
         return result
 
     def _transfer_task(
-        self, app: PropagationApp, p: int, t: _PartitionTransfer,
+        self, p: int, t: _PartitionTransfer,
         finfo: _FrontierInfo | None = None,
     ) -> Task:
         pg = self.pgraph
         machine = self.machine_of(p)
-        sends: list[tuple[int, float]] = []
-        for q, box in sorted(t.cross_boxes.items()):
-            nbytes = box.payload_bytes(app)
-            if nbytes > 0:
-                sends.append((self.machine_of(q), nbytes))
+        sends: list[tuple[int, float]] = [
+            (self.machine_of(q), nbytes)
+            for q, nbytes in sorted(t.outbox_bytes.items())
+            if q != p and nbytes > 0
+        ]
         if finfo is None:
             # Cascaded phases evaluate the cascadable vertices'
             # iterations in one scan of the partition: both the
@@ -743,70 +757,157 @@ class PropagationEngine:
         )
 
     # ------------------------------------------------------------------
-    # Combine stage
+    # Route and Combine stage
     # ------------------------------------------------------------------
-    def _route(
-        self, app: PropagationApp, transfers: list[_PartitionTransfer]
-    ) -> tuple[list[MessageBox], list[dict[int, float]]]:
-        """Deliver cross boxes; returns per-partition inbox and the bytes
-        received from each source partition (for failure re-fetch)."""
+    def _route(self, transfers: list[_PartitionTransfer],
+               dtype: np.dtype) -> list[Inbox | None]:
+        """Deliver every outbox as columns, grouped per destination.
+
+        Partition ``q``'s inbox concatenates the entries bound for it
+        from partitions ``p = 0..P-1`` (the boundary spill when ``p ==
+        q``), so each destination's bag keeps the scalar inbox's arrival
+        order through the stable group-by of :func:`group_by_key`.
+        Scalar-path boxes of partitions whose ``transfer_array``
+        declined join as columns of the iteration's message ``dtype``.
+        """
         num_parts = self.pgraph.num_parts
-        inboxes = [MessageBox(merge=None) for _ in range(num_parts)]
-        sources: list[dict[int, float]] = [{} for _ in range(num_parts)]
-        for p, t in enumerate(transfers):
-            # spilled local (boundary) messages
-            assert t.boundary_box is not None
-            for dest in t.boundary_box.data:
-                for value in t.boundary_box.values_of(dest):
-                    inboxes[p].add(dest, value)
-            for q, box in t.cross_boxes.items():
-                nbytes = box.payload_bytes(app)
-                if nbytes > 0:
-                    sources[q][p] = sources[q].get(p, 0.0) + nbytes
-                for dest, stored in box.data.items():
+        chunks: list[list[Columns]] = [[] for _ in range(num_parts)]
+        for t in transfers:
+            for q, entry in t.outbox.items():
+                cols = (_box_columns(entry, dtype)
+                        if isinstance(entry, MessageBox) else entry)
+                if cols[0].size:
+                    chunks[q].append(cols)
+        return [
+            group_by_key([c[0] for c in cs], [c[1] for c in cs])
+            if cs else None
+            for cs in chunks
+        ]
+
+    def _route_boxes(
+        self, transfers: list[_PartitionTransfer]
+    ) -> list[MessageBox]:
+        """The scalar path's route: one ``add`` per delivered message."""
+        inboxes = [MessageBox(merge=None)
+                   for _ in range(self.pgraph.num_parts)]
+        for t in transfers:
+            for q, box in t.outbox.items():
+                for dest in box.data:
                     for value in box.values_of(dest):
                         inboxes[q].add(dest, value)
-        return inboxes, sources
+        return inboxes
+
+    def _sources(
+        self, transfers: list[_PartitionTransfer]
+    ) -> list[dict[int, float]]:
+        """Bytes each partition receives from each source partition (for
+        failure re-fetch)."""
+        sources: list[dict[int, float]] = [
+            {} for _ in range(self.pgraph.num_parts)]
+        for p, t in enumerate(transfers):
+            for q, nbytes in t.outbox_bytes.items():
+                if q != p and nbytes > 0:
+                    sources[q][p] = nbytes
+        return sources
+
+    @staticmethod
+    def _combine_scalar(app: PropagationApp, combine: Any, state: Any,
+                        keys: Iterable[Any], bags: Iterable[list],
+                        combined: dict) -> float:
+        """Scalar ``combine`` per bag; returns the output bytes."""
+        output_bytes = 0.0
+        for v, bag in zip(keys, bags):
+            out = combine(v, bag, state)
+            if out is not None:
+                combined[v] = out
+                output_bytes += app.result_nbytes(v, out)
+        return output_bytes
+
+    @staticmethod
+    def _combine_folded(app: PropagationApp, state: Any, dests: np.ndarray,
+                        merged: np.ndarray, combined: dict) -> float:
+        """``combine_array`` over folded bags; returns the output bytes."""
+        keys = dests.tolist()
+        outs = np.asarray(app.combine_array(dests, merged, state)).tolist()
+        combined.update(zip(keys, outs))
+        if type(app).result_nbytes is PropagationApp.result_nbytes:
+            return float(len(keys) * VALUE_BYTES)
+        output_bytes = 0.0
+        for v, out in zip(keys, outs):
+            output_bytes += app.result_nbytes(v, out)
+        return output_bytes
+
+    def _combine_groups(self, app: PropagationApp, state: Any,
+                        uniq: np.ndarray, bounds: np.ndarray,
+                        grouped: np.ndarray, ufunc: Any,
+                        combined: dict) -> float:
+        """Combine grouped columns: folded through ``combine_array`` when
+        ``ufunc`` is given, else scalar ``combine`` on list slices."""
+        if ufunc is not None:
+            return self._combine_folded(
+                app, state, uniq, fold_groups(bounds, grouped, ufunc),
+                combined)
+        b = bounds.tolist()
+        vals = grouped.tolist()
+        bags = (vals[b[i]:b[i + 1]] for i in range(len(b) - 1))
+        return self._combine_scalar(app, app.combine, state, uniq.tolist(),
+                                    bags, combined)
 
     def _run_combine(
         self,
         app: PropagationApp,
         state: Any,
         p: int,
-        inbox: MessageBox,
+        inbox: MessageBox | Inbox | None,
         sources: dict[int, float],
         transfer: _PartitionTransfer,
+        dtype: np.dtype | None,
     ) -> tuple[Task, dict]:
+        """Combine partition ``p``'s inbox: a :class:`MessageBox` on the
+        scalar path, grouped columns (or None) on the fast path."""
         pg = self.pgraph
         combined: dict = {}
-        cpu_ops = 0.0
-        output_bytes = 0.0
-
-        if app.uses_virtual_vertices:
-            for key, values in inbox.data.items():
-                out = app.virtual_combine(key, values, state)
-                cpu_ops += len(values) + 1.0
-                if out is not None:
-                    combined[key] = out
-                    output_bytes += app.result_nbytes(key, out)
+        ufunc = None
+        if isinstance(inbox, MessageBox):
+            combine = (app.virtual_combine if app.uses_virtual_vertices
+                       else app.combine)
+            cpu_ops = float(inbox.message_count() + len(inbox))
+            output_bytes = self._combine_scalar(
+                app, combine, state, inbox.data.keys(),
+                inbox.data.values(), combined)
         else:
-            for v, values in inbox.data.items():
-                out = app.combine(v, values, state)
-                cpu_ops += len(values) + 1.0
-                if out is not None:
-                    combined[v] = out
-                    output_bytes += app.result_nbytes(v, out)
-            if app.combine_all_vertices:
-                already = transfer.inner_combined if self.local_opts else {}
-                for u in pg.partition_vertices[p]:
-                    u = int(u)
-                    if u in inbox.data or u in already:
-                        continue
-                    out = app.combine(u, [], state)
-                    cpu_ops += 1.0
-                    if out is not None:
-                        combined[u] = out
-                        output_bytes += app.result_nbytes(u, out)
+            ufunc = _array_combine_ufunc(app)
+            cpu_ops = 0.0
+            output_bytes = 0.0
+            if inbox is not None:
+                uniq, bounds, grouped = inbox
+                cpu_ops = float(grouped.size + uniq.size)
+                output_bytes = self._combine_groups(
+                    app, state, uniq, bounds, grouped, ufunc, combined)
+        if app.combine_all_vertices and not app.uses_virtual_vertices:
+            if isinstance(inbox, MessageBox):
+                arrived = np.fromiter(inbox.data, dtype=np.int64,
+                                      count=len(inbox))
+            else:
+                arrived = (inbox[0] if inbox is not None
+                           else np.zeros(0, dtype=np.int64))
+            verts = pg.partition_vertices[p]
+            skip = np.isin(verts, arrived)
+            already = transfer.inner_combined  # empty without local opts
+            if already:
+                skip |= np.isin(verts, np.fromiter(
+                    already, dtype=np.int64, count=len(already)))
+            missing = verts[~skip]
+            cpu_ops += float(missing.size)
+            if ufunc is not None and dtype is not None:
+                empty = np.full(missing.size, fold_identity(ufunc, dtype),
+                                dtype=dtype)
+                output_bytes += self._combine_folded(
+                    app, state, missing, empty, combined)
+            else:
+                output_bytes += self._combine_scalar(
+                    app, app.combine, state, missing.tolist(),
+                    ([] for _ in range(missing.size)), combined)
 
         incoming = float(sum(sources.values()))
         staged = incoming + transfer.spill_bytes

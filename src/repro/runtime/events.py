@@ -112,6 +112,11 @@ CANONICAL_COUNTERS: dict[str, str] = {
         "partitions reloaded from the durable tier (all replicas lost)",
     # -- simulator overhead ---------------------------------------------
     "wall.udf_seconds": "real Python seconds spent in UDFs",
+    "wall.transfer_seconds":
+        "real Python seconds in propagation Transfer (UDFs + outboxes)",
+    "wall.route_seconds":
+        "real Python seconds routing messages to their inboxes",
+    "wall.combine_seconds": "real Python seconds in propagation Combine",
 }
 
 #: Prefixes under which counter names may be minted dynamically (one

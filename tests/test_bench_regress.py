@@ -9,6 +9,7 @@ than an error.
 """
 
 import json
+import pathlib
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.bench.regress import (
     gate,
     latest_baselines,
 )
+from repro.bench.runner import discover_configs, select_suite
 from repro.bench.trajectory import (
     load_history,
     render_html,
@@ -263,3 +265,20 @@ class TestOptionalMetrics:
         negative = doc("PR9", w=record(peak_rss_bytes=-1))
         assert any("negative" in e for e in
                    validate_bench_json(negative))
+
+
+class TestCommittedBaselines:
+    def test_every_smoke_workload_has_a_committed_baseline(self):
+        """CI gates the smoke suite on its deterministic counters; a
+        workload without a committed baseline is only noted, not gated,
+        so every smoke workload must have one."""
+        root = pathlib.Path(__file__).resolve().parent.parent
+        names: set[str] = set()
+        for cfg in select_suite(discover_configs(), "smoke"):
+            if cfg.kind == "chaos":
+                names.add(f"{cfg.chaos.prefix}_baseline")
+            else:
+                names.update(w.name for w in cfg.workloads_for("smoke"))
+        assert names
+        baselines = latest_baselines(load_history(root))
+        assert sorted(names - set(baselines)) == []

@@ -197,6 +197,13 @@ class TestJobEvents:
         assert nr_job.events.wall_seconds() > 0.0
         assert nr_job.events.metrics.get("wall.udf_seconds") > 0.0
 
+    def test_phase_walls_sum_to_udf_wall(self, nr_job):
+        m = nr_job.events.metrics
+        phases = [m.get(f"wall.{phase}_seconds")
+                  for phase in ("transfer", "route", "combine")]
+        assert all(seconds > 0.0 for seconds in phases)
+        assert sum(phases) == pytest.approx(m.get("wall.udf_seconds"))
+
     def test_monitor_from_events_matches_executions(self, nr_job):
         from_execs = JobMonitor(nr_job.executions)
         from_spans = JobMonitor.from_events(nr_job.events)

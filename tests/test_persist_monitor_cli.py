@@ -108,6 +108,14 @@ class TestCli:
         assert cli_main(["run", "VDD", "--engine", "mapreduce"]
                         + self.ARGS) == 0
 
+    def test_profile_prints_phase_walls(self, tmp_path, capsys):
+        trace = str(tmp_path / "trace.json")
+        assert cli_main(["profile", "NR", "--trace", trace]
+                        + self.ARGS) == 0
+        out = capsys.readouterr().out
+        for phase in ("transfer", "route", "combine"):
+            assert f"  {phase:<12}:" in out
+
     def test_run_extension_app(self, capsys):
         assert cli_main(["run", "CC"] + self.ARGS) == 0
 

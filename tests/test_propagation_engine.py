@@ -39,6 +39,15 @@ class TestMessageBox:
             box.add(1, 2.0)
         assert raw.payload_bytes(app) == 2 * message_nbytes(app, 1.0)
         assert merged.payload_bytes(app) == message_nbytes(app, 3.0)
+        assert raw.wire_messages() == 2 and merged.wire_messages() == 1
+
+    def test_payload_tracks_adds(self):
+        app = NetworkRankingPropagation()
+        box = MessageBox()
+        box.add(1, 1.0)
+        first = box.payload_bytes(app)
+        box.add(2, 1.0)
+        assert box.payload_bytes(app) == 2 * first
 
 
 class TestVirtualPartition:

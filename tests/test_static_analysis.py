@@ -314,6 +314,21 @@ class _OrderSensitiveCombine(NetworkRankingPropagation):
         return values[0]  # whichever message happened to arrive first
 
 
+class _WrongCombineArray(NetworkRankingPropagation):
+    """A fast-path combine that drops half of the teleport term."""
+
+    def combine_array(self, dests, merged, state):
+        return merged + 0.5 * state.extra["teleport"]
+
+
+class _ReassociatedCombineArray(NetworkRankingPropagation):
+    """Right formula, re-associated arithmetic: only approximately equal
+    to the scalar left fold."""
+
+    def combine_array(self, dests, merged, state):
+        return (merged * 3.0 - merged * 2.0) + state.extra["teleport"]
+
+
 class TestContracts:
     def test_non_associative_combine_fails(self):
         # acceptance criterion: deliberately non-associative combine
@@ -326,6 +341,28 @@ class TestContracts:
     def test_order_sensitive_propagation_combine_fails(self):
         fs = verify_propagation_app(_OrderSensitiveCombine)
         assert rules_of(fs) == ["UDF002"]
+
+    def test_wrong_combine_array_fails(self):
+        fs = verify_propagation_app(_WrongCombineArray)
+        assert rules_of(fs) == ["UDF002"]
+        assert any("combine_array disagrees" in f.message for f in fs)
+
+    def test_combine_array_must_be_bit_identical(self):
+        # within float tolerance of combine, but not bit-identical
+        fs = verify_propagation_app(_ReassociatedCombineArray)
+        assert rules_of(fs) == ["UDF002"]
+        assert "bit-identical" in fs[0].message
+
+    def test_combine_array_without_merge_ufunc_fails(self):
+        class NoUfunc(NetworkRankingPropagation):
+            merge_ufunc = None
+
+            def combine_array(self, dests, merged, state):
+                return merged
+
+        fs = check_array_parity([NoUfunc], "NoUfunc appears here")
+        assert rules_of(fs) == ["PAR001"]
+        assert "merge_ufunc" in fs[0].message
 
     def test_vdd_virtual_combine_path_verified(self):
         # the Section 3.3 virtual-vertex path must be exercised

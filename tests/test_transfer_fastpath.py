@@ -1,5 +1,6 @@
-"""Vectorized Transfer fast path: equivalence, routing determinism,
-and the shipped-message accounting regression.
+"""Vectorized fast path (columnar Transfer, route and Combine):
+equivalence, the shared group-by kernel, routing determinism, and the
+shipped-message accounting regression.
 
 The scalar per-edge path is the oracle: the array path must reproduce its
 results, message counts, byte counts and task costs *bit for bit* at
@@ -19,11 +20,28 @@ import repro
 from repro.apps import NetworkRankingPropagation
 from repro.apps.connected_components import ConnectedComponentsPropagation
 from repro.apps.recommender import RecommenderPropagation
+from repro.apps.traversal import (
+    BreadthFirstSearchPropagation,
+    DeltaPageRankPropagation,
+    KCoreDecompositionPropagation,
+    ShortestPathsPropagation,
+)
+from repro.bench.workloads import make_cluster, topology_by_name
+from repro.core.range_plan import contiguous_range_plan
 from repro.core.surfer import Surfer
 from repro.errors import JobError
-from repro.graph.generators import composite_social_graph
-from repro.propagation.api import MessageBox, PropagationApp, fold_by_dest
-from repro.propagation.engine import virtual_partition
+from repro.graph.generators import composite_social_graph, rmat
+from repro.graph.store import build_shard_store, open_shard_graph
+from repro.graph.stream import stream_from_edges, stream_rmat
+from repro.propagation.api import (
+    MessageBox,
+    PropagationApp,
+    fold_by_dest,
+    fold_groups,
+    fold_identity,
+    group_by_key,
+)
+from repro.propagation.engine import PropagationEngine, virtual_partition
 from repro.mapreduce.engine import reducer_of
 from tests.conftest import make_test_cluster
 
@@ -57,7 +75,7 @@ class TestOutEdgesOf:
 
 
 # ----------------------------------------------------------------------
-# Order-exact array folding and box construction
+# Order-exact array folding and the shared group-by kernel
 # ----------------------------------------------------------------------
 class TestFoldByDest:
     def test_float_add_is_bit_identical_to_scalar_fold(self):
@@ -83,46 +101,107 @@ class TestFoldByDest:
         assert counts.tolist() == [2, 3]
 
 
-class TestFromArrays:
+class TestGroupByKey:
+    """The columnar route and combine reproduce the scalar inbox."""
+
     def test_bags_match_add_sequence(self):
-        dests = np.array([2, 1, 2, 2, 1])
-        values = np.array([10, 20, 30, 40, 50])
+        # three source chunks arriving in order, as at one inbox
+        chunks = [(np.array([2, 1, 2]), np.array([10, 20, 30])),
+                  (np.array([1, 3]), np.array([40, 50])),
+                  (np.array([2, 2, 3]), np.array([60, 70, 80]))]
         oracle = MessageBox()
-        for d, v in zip(dests, values):
-            oracle.add(int(d), v)
-        box = MessageBox.from_arrays(dests, values)
-        assert box.data.keys() == oracle.data.keys()
-        for d in oracle.data:
-            assert [int(v) for v in box.values_of(d)] == \
-                [int(v) for v in oracle.values_of(d)]
-        assert box.counts == oracle.counts
+        for dests, values in chunks:
+            for d, v in zip(dests.tolist(), values.tolist()):
+                oracle.add(d, v)
+        uniq, bounds, grouped = group_by_key([c[0] for c in chunks],
+                                             [c[1] for c in chunks])
+        assert uniq.tolist() == sorted(oracle.data)
+        b = bounds.tolist()
+        for i, d in enumerate(uniq.tolist()):
+            assert grouped[b[i]:b[i + 1]].tolist() == oracle.values_of(d)
 
     def test_merged_match_add_sequence(self):
         rng = np.random.default_rng(5)
         dests = rng.integers(0, 10, 300)
         values = rng.random(300)
         oracle = MessageBox(merge=lambda a, b: a + b)
-        for d, v in zip(dests, values):
-            oracle.add(int(d), v)
-        box = MessageBox.from_arrays(dests, values, merge=lambda a, b: a + b,
-                                     ufunc=np.add)
-        assert set(box.data) == set(oracle.data)
-        for d in oracle.data:
-            assert box.data[d] == oracle.data[d]  # bitwise
-        assert box.counts == oracle.counts
+        for d, v in zip(dests.tolist(), values.tolist()):
+            oracle.add(d, v)
+        uniq, bounds, grouped = group_by_key([dests[:120], dests[120:]],
+                                             [values[:120], values[120:]])
+        merged = fold_groups(bounds, grouped, np.add)
+        for d, m in zip(uniq.tolist(), merged.tolist()):
+            assert m == oracle.data[d]  # bitwise
 
-    def test_payload_cache_invalidated_by_add(self):
-        app = NetworkRankingPropagation()
-        box = MessageBox()
-        box.add(1, 1.0)
-        first = box.payload_bytes(app)
-        box.add(2, 1.0)
-        assert box.payload_bytes(app) == 2 * first
+    def test_fold_is_the_left_fold_on_adversarial_magnitudes(self):
+        rng = np.random.default_rng(3)
+        n = 100_000
+        values = ((10.0 ** rng.integers(-12, 13, n))
+                  * rng.choice([-1.0, 1.0], n))
+        left = 0.0
+        for v in values.tolist():
+            left = left + v
+        _, bounds, grouped = group_by_key([np.zeros(n, dtype=np.int64)],
+                                          [values])
+        assert fold_groups(bounds, grouped, np.add)[0] == left
+        # why the kernel never uses reduceat: it sums float64 segments
+        # pairwise, which this input tells apart from the left fold
+        assert np.add.reduceat(values, [0])[0] != left
+
+    def test_empty_input(self):
+        uniq, bounds, grouped = group_by_key(
+            [np.zeros(0, dtype=np.int64)], [np.zeros(0)])
+        assert uniq.size == 0 and bounds.tolist() == [0]
+        assert fold_groups(bounds, grouped, np.minimum).size == 0
+
+    @pytest.mark.parametrize("ufunc, dtype, expected", [
+        (np.add, np.float64, 0.0),
+        (np.logical_or, np.bool_, False),
+        (np.minimum, np.int64, np.iinfo(np.int64).max),
+        (np.minimum, np.float64, np.inf),
+    ])
+    def test_fold_identity(self, ufunc, dtype, expected):
+        identity = fold_identity(ufunc, dtype)
+        assert identity == expected
+        assert np.asarray(identity).dtype == np.dtype(dtype)
+        # the identity leaves any value unchanged under the fold
+        probe = np.asarray([3], dtype=dtype)
+        assert ufunc(probe, identity).tolist() == probe.tolist()
 
 
 # ----------------------------------------------------------------------
 # Scalar vs. vectorized engine equivalence
 # ----------------------------------------------------------------------
+class _DeclineFirstPartitionNR(NetworkRankingPropagation):
+    """NR whose fast path declines on partition 0's edges."""
+
+    def transfer_array(self, src, dst, state):
+        if src.size and state.pgraph.parts[src[0]] == 0:
+            return None
+        return super().transfer_array(src, dst, state)
+
+
+class _DeclineFirstPartitionCC(ConnectedComponentsPropagation):
+    """CC (integer labels) whose fast path declines on partition 0."""
+
+    def transfer_array(self, src, dst, state):
+        if src.size and state.pgraph.parts[src[0]] == 0:
+            return None
+        return super().transfer_array(src, dst, state)
+
+
+class _AdversarialNR(NetworkRankingPropagation):
+    """NR started from ranks of wildly mixed magnitude and sign."""
+
+    def setup(self, pgraph):
+        state = super().setup(pgraph)
+        rng = np.random.default_rng(17)
+        n = pgraph.num_vertices
+        state.values[:] = ((10.0 ** rng.integers(-12, 13, n))
+                           * rng.choice([-1.0, 1.0], n))
+        return state
+
+
 def _job_signature(job):
     reports = [
         (r.messages_emitted, r.messages_shipped, r.network_bytes,
@@ -209,6 +288,142 @@ class TestFastPathEquivalence:
         assert _job_signature(auto) == _job_signature(scalar)
 
 
+#: app name -> (class, needs a symmetrized graph, runs to convergence)
+PARITY_APPS = {
+    "NR": (NetworkRankingPropagation, False, False),
+    "CC": (ConnectedComponentsPropagation, True, False),
+    "RS": (RecommenderPropagation, False, False),
+    "BFS": (BreadthFirstSearchPropagation, False, True),
+    "SSSP": (ShortestPathsPropagation, False, True),
+    "DPR": (DeltaPageRankPropagation, False, True),
+    "KCORE": (KCoreDecompositionPropagation, True, True),
+}
+
+
+def _assert_parity(surfer, app_cls, converge, **kw):
+    """Scalar oracle vs vectorized fast path: results and every cost."""
+    if converge:
+        kw.update(iterations=100, until_convergence=True)
+    else:
+        kw.update(iterations=3)
+    scalar = surfer.run_propagation(app_cls(), vectorized=False, **kw)
+    fast = surfer.run_propagation(app_cls(), vectorized=True, **kw)
+    assert not scalar.failed and not fast.failed
+    assert np.array_equal(np.asarray(scalar.result),
+                          np.asarray(fast.result))
+    assert _job_signature(scalar) == _job_signature(fast)
+
+
+class TestColumnarParity:
+    """The columnar route and combine against the scalar oracle: the
+    traversal apps in both modes, shard-backed range-plan graphs,
+    mixed iterations and adversarial float magnitudes."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return composite_social_graph(
+            num_communities=8, community_size=64, k=5, seed=9
+        )
+
+    @pytest.fixture(scope="class")
+    def shard_graphs(self, tmp_path_factory):
+        """Directed and symmetrized R-MAT shard stores (8 shards)."""
+        root = tmp_path_factory.mktemp("stores")
+        directed_path = root / "directed"
+        build_shard_store(stream_rmat(10, edge_factor=8, seed=2010),
+                          directed_path, num_shards=8)
+        directed = open_shard_graph(directed_path)
+        sym = rmat(10, edge_factor=8, seed=2010).symmetrized()
+        sym_path = root / "symmetrized"
+        build_shard_store(
+            stream_from_edges(np.column_stack(
+                (sym.edge_sources(), sym.out_indices)), sym.num_vertices),
+            sym_path, num_shards=8)
+        return {False: directed, True: open_shard_graph(sym_path)}
+
+    @pytest.mark.parametrize("local_opts", [True, False])
+    @pytest.mark.parametrize("frontier", [True, False])
+    @pytest.mark.parametrize("app_name", ["BFS", "SSSP", "DPR", "KCORE"])
+    def test_traversal_apps(self, graph, app_name, frontier, local_opts):
+        app_cls, symmetric, converge = PARITY_APPS[app_name]
+        g = graph.symmetrized() if symmetric else graph
+        surfer = Surfer(g, make_test_cluster(4), num_parts=8, seed=3)
+        _assert_parity(surfer, app_cls, converge, frontier=frontier,
+                       local_opts=local_opts)
+
+    @pytest.mark.parametrize("local_opts", [True, False])
+    @pytest.mark.parametrize("app_name", sorted(PARITY_APPS))
+    def test_shard_backed_range_plan(self, shard_graphs, app_name,
+                                     local_opts):
+        app_cls, symmetric, converge = PARITY_APPS[app_name]
+        g = shard_graphs[symmetric]
+        cluster = make_cluster(topology_by_name("T2(4,1)", 8))
+        plan = contiguous_range_plan(g, cluster.topology, 8, seed=2010,
+                                     offsets=g.store.vertex_starts)
+        surfer = Surfer(g, cluster, seed=2010, plan=plan)
+        _assert_parity(surfer, app_cls, converge, local_opts=local_opts)
+
+    @pytest.mark.parametrize("local_opts", [True, False])
+    @pytest.mark.parametrize("app_cls", [_DeclineFirstPartitionNR,
+                                         _DeclineFirstPartitionCC])
+    def test_mixed_iteration(self, graph, app_cls, local_opts,
+                             monkeypatch):
+        """Partition 0's transfer_array declines, so each iteration mixes
+        a scalar-path partition into the columnar route and combine."""
+        g = (graph.symmetrized() if app_cls is _DeclineFirstPartitionCC
+             else graph)
+        surfer = Surfer(g, make_test_cluster(4), num_parts=8, seed=3)
+        scalar = surfer.run_propagation(app_cls(), iterations=3,
+                                        local_opts=local_opts,
+                                        vectorized=False)
+        calls = []
+        original = PropagationEngine._run_transfer_scalar
+
+        def spy(engine, app, state, p, finfo=None):
+            calls.append(p)
+            return original(engine, app, state, p, finfo)
+
+        monkeypatch.setattr(PropagationEngine, "_run_transfer_scalar", spy)
+        mixed = surfer.run_propagation(app_cls(), iterations=3,
+                                       local_opts=local_opts)
+        assert calls == [0, 0, 0]  # one scalar partition per iteration
+        assert np.array_equal(np.asarray(scalar.result),
+                              np.asarray(mixed.result))
+        assert _job_signature(scalar) == _job_signature(mixed)
+
+    @pytest.mark.parametrize("local_opts", [True, False])
+    def test_adversarial_magnitudes(self, graph, local_opts):
+        """Ranks spanning 24 decades with mixed signs: every combined
+        rank must equal the scalar ``teleport + sum(bag)`` bit for bit,
+        which a pairwise (reduceat-style) fold would miss."""
+        surfer = Surfer(graph, make_test_cluster(4), num_parts=8, seed=3)
+        scalar = surfer.run_propagation(_AdversarialNR(), iterations=2,
+                                        local_opts=local_opts,
+                                        vectorized=False)
+        fast = surfer.run_propagation(_AdversarialNR(), iterations=2,
+                                      local_opts=local_opts,
+                                      vectorized=True)
+        assert np.array_equal(scalar.result, fast.result)
+        assert _job_signature(scalar) == _job_signature(fast)
+
+    def test_fast_path_never_builds_boxes(self, graph, monkeypatch):
+        """A vectorized job routes and combines without one
+        ``MessageBox.add`` call."""
+        surfer = Surfer(graph, make_test_cluster(4), num_parts=8, seed=3)
+        scalar = surfer.run_propagation(NetworkRankingPropagation(),
+                                        iterations=3, vectorized=False)
+
+        def forbidden(box, dest, value):
+            raise AssertionError("MessageBox.add on the fast path")
+
+        monkeypatch.setattr(MessageBox, "add", forbidden)
+        fast = surfer.run_propagation(NetworkRankingPropagation(),
+                                      iterations=3, vectorized=True)
+        assert not fast.failed
+        assert np.array_equal(scalar.result, fast.result)
+        assert _job_signature(scalar) == _job_signature(fast)
+
+
 # ----------------------------------------------------------------------
 # Regression: messages_shipped at O1/O2 (no local optimizations)
 # ----------------------------------------------------------------------
@@ -235,7 +450,7 @@ class TestShippedAccounting:
 # Regression: routing determinism across PYTHONHASHSEED values
 # ----------------------------------------------------------------------
 _ROUTE_SNIPPET = """
-from repro.propagation.engine import virtual_partition
+from repro.propagation.engine import PropagationEngine, virtual_partition
 from repro.mapreduce.engine import reducer_of
 keys = ["user:42", "item-7", ("pair", 3), b"blob", 42, -5]
 print([virtual_partition(k, 16) for k in keys])
